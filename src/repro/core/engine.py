@@ -306,8 +306,8 @@ class BatchedAsyncEngine:
       engine's fused executor).
 
     All 2-D kernels are bitwise identical to their stacked 1-D
-    counterparts (the CSR length-class packing sums each row the same way
-    in every product, and both ``np.add.at`` and the segment-sum scatter
+    counterparts (the compiled CSR kernel sums each row left to right in
+    every product, and both ``np.add.at`` and the segment-sum scatter
     :func:`repro.sparse.scatter_add_fold` accumulate per accumulator in
     listed order), which the test suite asserts directly.
 
@@ -483,31 +483,21 @@ class BatchedAsyncEngine:
         contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
         addition of ``-0.0`` is the identity for every float (signed
         zeros, infinities and NaNs included).  A padded row therefore sums
-        bitwise identically to the unpadded left-to-right sum of
-        :meth:`repro.sparse.CSRMatrix._packed_product`, while giving all
+        its entries left to right exactly as the compiled CSR kernel
+        (:meth:`repro.sparse.CSRMatrix.matvec`) does, while giving all
         blocks one common rectangular shape that concatenates across
-        blocks with no per-length-class bookkeeping.
+        blocks.  The kernel's leading ``+0.0`` accumulator is left out,
+        which can change only the sign of an exact-zero row sum — invisible
+        to ``np.array_equal``, the package's bitwise gates, and unable to
+        reach a nonzero iterate component through the sweep's
+        ``+,-,*,/`` data flow.
 
-        The one exception is an *empty* row: the packed kernel writes it
-        as ``+0.0`` while an all-pad row would sum to ``-0.0``, so empty
-        rows get ``+0.0`` as their first pad.  Rows wider than the packed
-        kernel's panel cap would be summed by ``reduceat`` (a different
-        order), so such blocks disable the fused path entirely.
+        An *empty* row gets ``+0.0`` as its first pad, so it sums to
+        ``+0.0`` like the kernel's rather than to an all-pad ``-0.0``.
         """
-        from ..sparse.csr import CSRMatrix
-
-        self._pad_cols: Optional[List[np.ndarray]] = None
+        self._pad_cols: List[np.ndarray] = []
         self._pad_data: List[np.ndarray] = []
-        self._padW = 0
-        widths = []
-        for blk in self.view.blocks:
-            lengths = np.diff(blk.local_off.indptr)
-            w = int(lengths.max()) if len(lengths) else 0
-            if w > CSRMatrix._ELL_MAX_WIDTH:
-                return
-            widths.append(w)
-        W = max(1, max(widths, default=1))
-        pad_cols = []
+        W = max([1] + [int(np.diff(blk.local_off.indptr).max(initial=0)) for blk in self.view.blocks])
         for blk in self.view.blocks:
             lc = blk.local_off_compressed()
             lengths = np.diff(lc.indptr)
@@ -521,10 +511,9 @@ class BatchedAsyncEngine:
             # Lane-major (W, rows) storage: the product then runs one
             # contiguous gather-multiply-add per lane instead of strided
             # column reductions over a (rows, W) panel.
-            pad_cols.append(np.ascontiguousarray(cols.T))
+            self._pad_cols.append(np.ascontiguousarray(cols.T))
             self._pad_data.append(np.ascontiguousarray(data.T))
         self._padW = W
-        self._pad_cols = pad_cols
 
     # ------------------------------------------------------------------ #
 
@@ -535,10 +524,9 @@ class BatchedAsyncEngine:
     def _base_external(self, S: np.ndarray, reps: np.ndarray) -> np.ndarray:
         """Snapshot off-block gather ``E @ S[r]`` for every replica in *reps*.
 
-        One cache-resident 1-D SpMV per replica: on a CPU the row-at-a-time
-        kernel beats the ``(R, nnz)`` multi-vector gather (whose temporaries
-        spill every cache level), and it is bitwise the sequential engine's
-        own per-block product by construction.
+        One 1-D SpMV per replica, bitwise the sequential engine's own
+        per-block products: the compiled kernel sums each row the same way
+        in the restacked matrix as in the block's external part.
         """
         out = self._ext_buf
         if out is None or out.shape[0] < len(reps):
@@ -684,7 +672,7 @@ class BatchedAsyncEngine:
         # position.
         deferred: List[Tuple[int, slice, np.ndarray]] = []
         Xflat = X.reshape(-1) if X.flags["C_CONTIGUOUS"] else None
-        fused_ok = self._pad_cols is not None and Xflat is not None
+        fused_ok = Xflat is not None
         for pos in range(nb):
             bids = orders[:, pos]
             g = float(gamma[pos])

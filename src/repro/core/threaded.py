@@ -15,8 +15,8 @@ run *k* local Jacobi sweeps, write back.  Workers stop when a monitor
 observes the (racily computed) residual under tolerance, or after a sweep
 budget.  The §2.2 well-posedness conditions hold by construction: every
 block belongs to exactly one worker that updates it every pass (condition
-1), and staleness is bounded by one worker pass (condition 2) as long as
-every worker keeps making progress.
+1), and no worker runs more than two passes ahead of the slowest one, so
+staleness stays bounded (condition 2) even when the OS starves a thread.
 
 This engine is **not reproducible** run to run — that is the point.  Tests
 assert outcome properties (convergence, well-posedness, accuracy), never
@@ -24,11 +24,18 @@ exact histories.
 
 Two honest CPython caveats, both *measured* rather than hidden: (a) the
 GIL means workers interleave at the switch-interval granularity, so at toy
-problem sizes many passes execute against frozen neighbours and the
-per-pass rate degrades (the bounded-staleness rate penalty of asynchronous
-theory, amplified); (b) effective parallel speed-up is limited to the
-NumPy-kernel fraction that releases the GIL.  At the paper's problem
-sizes (n ≈ 10⁴) behaviour matches the seeded engine closely.
+problem sizes a worker's passes may run against frozen neighbours — at
+most two, by the lead bound — and the per-pass rate degrades (the
+bounded-staleness rate penalty of asynchronous theory); (b) effective
+parallel speed-up is limited to the kernel fraction that releases the
+GIL.  That fraction includes every sparse product: the compiled CSR
+kernel (:meth:`repro.sparse.CSRMatrix.matvec`) runs without the GIL, so
+workers race *inside* products too — one product's rows can read a
+neighbour's component before and after that neighbour's write-back, and
+so can the monitor's residual, which is therefore only a racy estimate
+until the final, race-free evaluation that decides ``converged``.  At
+the paper's problem sizes (n ≈ 10⁴) behaviour matches the seeded engine
+closely.
 """
 
 from __future__ import annotations
@@ -47,6 +54,10 @@ from ..solvers.base import SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
 
 __all__ = ["ThreadedAsyncSolver"]
+
+#: Most passes a worker may run ahead of the slowest one: condition (2)'s
+#: staleness bound, in worker passes.
+_MAX_LEAD = 2
 
 
 @dataclass
@@ -135,10 +146,29 @@ class ThreadedAsyncSolver:
     # ------------------------------------------------------------------ #
 
     def _worker(self, wid: int, blocks, b: np.ndarray, state: _SharedState) -> None:
+        try:
+            self._passes(wid, blocks, b, state)
+        except BaseException:
+            # A dead worker would hold back the staleness bound forever:
+            # end the run for everyone (the exception still propagates to
+            # the thread's excepthook).
+            state.stop.set()
+            raise
+
+    def _passes(self, wid: int, blocks, b: np.ndarray, state: _SharedState) -> None:
         x = state.x  # the shared iterate — all reads/writes are racy
         k = self.local_iterations
         omega = self.omega
+        passes = state.passes
         for _ in range(self.stopping.maxiter):
+            # Bounded staleness, enforced: a worker _MAX_LEAD passes ahead
+            # of the slowest yields until it catches up.  Without this a
+            # starved worker let the others spend their whole pass budget
+            # against its stale blocks and exit, after which the last
+            # worker standing converged against frozen neighbours — a
+            # state that is not a solution (observed as a stuck residual).
+            while passes[wid] - passes.min() >= _MAX_LEAD and not state.stop.is_set():
+                time.sleep(0)
             if state.stop.is_set():
                 break
             for blk in blocks:
@@ -152,7 +182,7 @@ class ThreadedAsyncSolver:
                     if omega != 1.0:
                         new = (1.0 - omega) * old + omega * new
                     x[rows] = new
-            state.passes[wid] += 1
+            passes[wid] += 1
         # A finished worker lets the others keep refining until the
         # monitor stops the run; it simply exits (its components stay).
 

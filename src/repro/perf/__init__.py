@@ -5,7 +5,7 @@ sweep computes; this subpackage decides *how* it executes:
 
 * :class:`SweepPlan` (:mod:`repro.perf.plan`) compiles a block
   decomposition, once, into the precomputed structures every execution
-  path consumes — warmed ELL gather plans, scatter segment ids, stacked
+  path consumes — compressed local parts, scatter segment ids, stacked
   whole-system matrices, and (on demand) the stencil structure detection
   outcome;
 * :mod:`repro.perf.stencil` detects stencil-regular systems and compiles

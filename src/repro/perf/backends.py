@@ -6,9 +6,9 @@ one global sweep:
 * :class:`ReferenceSweepExecutor` — the per-block Python loop, semantics
   for every regime (mixed per-entry races, faults, partial deferred
   writes), sped up by the compiled per-block plans of
-  :class:`repro.perf.SweepPlan`: warmed ELL gather plans, segment-sum
-  scatter instead of ``np.add.at``, compressed block-local inner sweeps
-  with one write-back per block.
+  :class:`repro.perf.SweepPlan`: segment-sum scatter instead of
+  ``np.add.at``, compressed block-local inner sweeps with one write-back
+  per block.
 * :class:`FusedSweepExecutor` — the whole sweep as a handful of
   whole-system numpy kernels: one stacked external SpMV, one vectorized
   right-hand-side assembly, *k* stacked local Jacobi sweeps.  No Python
@@ -200,8 +200,8 @@ class FusedSweepExecutor:
         # The whole sweep: one stacked external gather, one right-hand-side
         # assembly, k stacked block-diagonal Jacobi sweeps.  Bitwise the
         # per-block products: the restacked matrices hold each row's
-        # entries in identical order, and the ELL row-length-class kernels
-        # sum a row the same way in every matrix that contains it.
+        # entries in identical order, and the compiled CSR kernel sums a
+        # row left to right in every matrix that contains it.
         ext = plan.external.matvec(x, out=self._ext_buf)
         s = eng.b - ext
         z = local_jacobi_sweeps(

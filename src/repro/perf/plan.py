@@ -3,21 +3,24 @@
 The asynchronous engine's global sweep used to rebuild, on every visit to
 every block, the small index structures its kernels need — expanded row
 ids for the scatter of per-entry race corrections, right-hand-side slices,
-compressed local matrices — and built each block's ELL gather plan lazily
-inside the first timed sweep.  For fine decompositions (thousands of
+compressed local matrices.  For fine decompositions (thousands of
 blocks) that bookkeeping, not arithmetic, dominated the time-per-iteration
 the paper's Figure 8 / Table 5 measure.
 
 :class:`SweepPlan` compiles the decomposition once, at first engine
 construction, into the structures both execution backends consume:
 
-* **per-block** (the reference loop): cached ELL gather plans for every
-  external and compressed-local part, per-entry scatter segment ids (the
-  ``np.bincount`` replacement for ``np.add.at``), per-block scatter bases
-  and external nonzero counts;
+* **per-block** (the reference loop): the compressed (block-local-column)
+  local parts, per-entry scatter segment ids (the ``np.bincount``
+  replacement for ``np.add.at``), per-block scatter bases and external
+  nonzero counts;
 * **whole-system** (the fused path): the restacked external and local
-  off-diagonal matrices with warmed gather plans, plus the concatenated
-  diagonal — one multi-vector-shaped kernel set for the entire sweep.
+  off-diagonal matrices plus the concatenated diagonal — one
+  multi-vector-shaped kernel set for the entire sweep.
+
+Products themselves need no compiled state: every one is scipy's
+``csr_matvec`` on the matrix's own CSR arrays
+(:meth:`repro.sparse.CSRMatrix.matvec`).
 
 The plan is attached to the :class:`repro.sparse.BlockRowView` itself
 (``view._perf_plan``), so every engine built on one view — sequential,
@@ -82,10 +85,6 @@ class SweepPlan:
         compilation per partition, shared by every engine on the view.
     ennz:
         Per-block external nonzero counts (freshness-draw sizes).
-    ell_plans_built:
-        Diagnostic: number of ELL gather plans this plan's warm calls have
-        constructed.  Stays constant across sweeps — plans are compiled
-        once and reused, which the test suite asserts.
     """
 
     def __init__(self, view: BlockRowView):
@@ -134,9 +133,7 @@ class SweepPlan:
     def warm_reference(self) -> "SweepPlan":
         """Materialise and warm everything the per-block reference loop uses."""
         if not self._warmed_reference:
-            for blk, lc in zip(self.view.blocks, self.local_c):
-                blk.external.warm_plan()
-                lc.warm_plan()
+            self.local_c
             self.ext_rows
             self.scatter_base
             self._warmed_reference = True
@@ -185,15 +182,12 @@ class SweepPlan:
         """Materialise and warm the extended-block (RAS) kernel structures.
 
         Builds the view's :meth:`~repro.sparse.BlockRowView.ras_blocks`
-        and their gather plans so an async-RAS engine's first timed sweep
-        does no compilation — the same contract :meth:`warm_reference`
-        gives the disjoint loop.  Never called at ``overlap=0``; the
+        and their freshness-draw sizes so an async-RAS engine's first
+        timed sweep does no compilation — the same contract
+        :meth:`warm_reference` gives the disjoint loop.  Never called at ``overlap=0``; the
         classic structures stay the only ones built then.
         """
         if not self._warmed_ras:
-            for blk in self.view.ras_blocks():
-                blk.external.warm_plan()
-                blk.local_off.warm_plan()
             self.ras_ennz
             self._warmed_ras = True
         return self
@@ -236,17 +230,6 @@ class SweepPlan:
 
             self._stencil_kernels = StencilKernels(self.view, desc.offsets)
         return self._stencil_kernels
-
-    @property
-    def ell_plans_built(self) -> int:
-        """Total ELL gather plans constructed across this plan's matrices."""
-        total = 0
-        if self._warmed_fused:
-            total += self.external._ell_builds + self.local_off._ell_builds
-        if self._local_c is not None:
-            total += sum(lc._ell_builds for lc in self._local_c)
-            total += sum(blk.external._ell_builds for blk in self.view.blocks)
-        return total
 
 
 def compile_sweep_plan(view: BlockRowView) -> SweepPlan:

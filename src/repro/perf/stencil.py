@@ -51,8 +51,8 @@ This module is the CPU analogue of that kernel family, split in two:
 
 **Exactness.**  The kernels read their weights from the matrix entries
 themselves, so they compute each row's sum over exactly the row's
-entries, in ascending-column order — the same order the packed CSR
-kernels (:meth:`repro.sparse.CSRMatrix._packed_product`) accumulate.
+entries, in ascending-column order — the same order the compiled CSR
+kernel (:meth:`repro.sparse.CSRMatrix.matvec`) accumulates.
 The one deviation: rows missing an offset that their diagonal's slice
 range covers contribute a ``0.0 * x`` term, which is exact for every
 finite operand but may flip the *sign* of an exact-zero accumulator.
@@ -378,7 +378,7 @@ class StencilKernels:
     per replica row.
 
     Diagonals accumulate in ascending-offset order — ascending column
-    order, the same per-row order as the packed CSR kernels.
+    order, the same per-row order as the compiled CSR kernel.
     """
 
     def __init__(self, view: BlockRowView, offsets: np.ndarray):

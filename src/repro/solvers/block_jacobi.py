@@ -169,7 +169,7 @@ class BlockJacobiSolver(IterativeSolver):
         if self.inner == "jacobi":
             # Fused two-stage update: one stacked external SpMV and q
             # stacked Jacobi sweeps advance every block at once — bitwise
-            # the per-block loop (the length-class kernels sum each row
+            # the per-block loop (the compiled CSR kernel sums each row
             # identically in the restacked and per-block matrices, and the
             # synchronous outer step reads only the previous iterate).
             ext = view.external_matrix().matvec(x, out=state.scratch)

@@ -36,9 +36,9 @@ class ConjugateGradientSolver(IterativeSolver):
     ----------
     preconditioner:
         Optional callable applying ``M⁻¹`` to a residual.  It must represent
-        a fixed SPD operator for CG theory to hold; the async-preconditioner
-        extension freezes its schedule to stay (approximately) within that
-        contract, as discussed in :mod:`repro.extensions.precond`.
+        a fixed SPD operator for CG theory to hold; the async-sweep
+        preconditioner freezes its schedule to stay (approximately) within
+        that contract, as discussed in :mod:`repro.krylov.preconditioners`.
     stopping:
         Shared stopping rule.
 

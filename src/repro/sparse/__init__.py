@@ -1,20 +1,21 @@
 """Sparse-matrix substrate.
 
 This subpackage is the storage and kernel layer everything else in
-:mod:`repro` is built on.  It deliberately re-implements the small set of
-sparse operations the paper's algorithms need (CSR/COO containers, SpMV,
+:mod:`repro` is built on.  It keeps its own containers for the small set of
+sparse operations the paper's algorithms need (CSR/COO containers,
 row-block decomposition, triangular sweeps, spectral estimation) instead of
-leaning on :mod:`scipy.sparse`, so the block decomposition used by the
+leaning on :mod:`scipy.sparse` types, so the block decomposition used by the
 two-stage block-asynchronous method (local/global column split, Eq. (4) of
 the paper) is a first-class data structure rather than an ad-hoc slicing of a
-third-party type.  SciPy interoperability is provided for testing and user
-convenience.
+third-party type.  The one SpMV kernel, though, is scipy's compiled
+``csr_matvec``, called on the containers' own arrays
+(:meth:`CSRMatrix.matvec`).
 """
 
 from .coo import COOMatrix
 from .csr import CSRMatrix, scatter_add_fold
 from .ell import ELLMatrix, SlicedELLMatrix
-from .blocked import BlockRowView, RASBlock, RowBlock, partition_rows, partition_rows_by_work
+from .blocked import BlockRowView, RASBlock, RowBlock
 from .linalg import (
     gershgorin_bounds,
     power_method,
@@ -32,8 +33,6 @@ __all__ = [
     "BlockRowView",
     "RASBlock",
     "RowBlock",
-    "partition_rows",
-    "partition_rows_by_work",
     "gershgorin_bounds",
     "power_method",
     "spectral_radius",

@@ -16,7 +16,6 @@ asynchronous engine's hot loop is nothing but slim vectorized kernels.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -26,30 +25,9 @@ from .._util import as_index_array, check_square
 from ..partition.core import Partition
 from ..partition.halo import extract_block_system, split_block_diagonal
 from ..partition.rows import partition_rows as _partition_rows
-from ..partition.rows import partition_rows_by_work as _partition_rows_by_work
 from .csr import CSRMatrix
 
-__all__ = ["RASBlock", "RowBlock", "BlockRowView", "partition_rows", "partition_rows_by_work"]
-
-
-def partition_rows(n: int, block_size: Optional[int] = None, *, nblocks: Optional[int] = None) -> np.ndarray:
-    """Deprecated alias for :func:`repro.partition.partition_rows`."""
-    warnings.warn(
-        "partition_rows moved to repro.partition; import it from there",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _partition_rows(n, block_size, nblocks=nblocks)
-
-
-def partition_rows_by_work(A: "CSRMatrix", nblocks: int) -> np.ndarray:
-    """Deprecated alias for :func:`repro.partition.partition_rows_by_work`."""
-    warnings.warn(
-        "partition_rows_by_work moved to repro.partition; import it from there",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _partition_rows_by_work(A, nblocks)
+__all__ = ["RASBlock", "RowBlock", "BlockRowView"]
 
 
 @dataclass
@@ -323,15 +301,15 @@ class BlockRowView:
         return self._ras_blocks
 
     def warm_stacked_kernels(self) -> None:
-        """Eagerly build the stacked matrices and their ELL gather plans.
+        """Eagerly build the stacked whole-system matrices and diagonal.
 
         The fused sweep backend (:mod:`repro.perf`) runs whole-system
         products against :meth:`external_matrix` and
         :meth:`local_offdiag_matrix`; warming here moves their one-time
-        plan construction out of the first timed sweep.
+        restacking out of the first timed sweep.
         """
-        self.external_matrix().warm_plan()
-        self.local_offdiag_matrix().warm_plan()
+        self.external_matrix()
+        self.local_offdiag_matrix()
         self.diagonal_vector()
 
     @property

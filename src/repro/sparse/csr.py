@@ -3,11 +3,11 @@
 The implementation follows the HPC-in-Python rules the package is built
 around: no Python-level loops over rows or nonzeros in any hot path; all
 temporaries are reused through ``out=`` parameters where the call sites are
-hot.  Products run over an ELL-style row-length-class packing (see
-:meth:`CSRMatrix._ell_plan`) whose summation order per row depends on that
-row's length alone, so single-vector, multi-vector and restacked-matrix
-products are all bitwise consistent; ``np.add.reduceat`` remains for rows
-too wide to pack and for plain segment reductions.
+hot.  Every product goes through one kernel, scipy's compiled
+``csr_matvec`` (see :meth:`CSRMatrix._product`), which sums each row left
+to right from ``+0.0``.  A row's sum therefore depends on that row's
+entries alone, so single-vector, multi-vector and restacked-matrix
+products are all bitwise consistent.
 """
 
 from __future__ import annotations
@@ -15,32 +15,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .._util import as_float_array, as_index_array
 
 __all__ = ["CSRMatrix", "scatter_add_fold"]
-
-
-def _segment_sums(values: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Segment sums of *values* along the last axis, written into *out*.
-
-    *values* is ``(nnz,)`` or ``(R, nnz)`` (one multi-vector row per
-    replica); segments are given by *indptr*.  Handles empty rows exactly:
-    ``np.add.reduceat`` is applied to the starts of the *nonempty* rows
-    only, so consecutive reduceat boundaries are the true row boundaries
-    and no clipping corrections are needed.  ``reduceat`` applies the same
-    (unrolled pairwise) accumulation per segment whether *values* is 1-D
-    or 2-D, so the 2-D path is bitwise identical to R separate 1-D calls —
-    but note the order is NOT plain left-to-right for segments of 8+
-    entries, which is why the packed kernel below must be used either for
-    both of a comparison's sides or for neither.
-    """
-    starts = indptr[:-1]
-    nonempty = indptr[1:] > starts
-    out[...] = 0.0
-    if values.shape[-1]:
-        out[..., nonempty] = np.add.reduceat(values, starts[nonempty], axis=-1)
-    return out
 
 
 def scatter_add_fold(
@@ -99,15 +78,13 @@ class CSRMatrix:
         construct already-valid arrays pass ``check=False``).
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_ell", "_ell_builds", "_erows")
+    __slots__ = ("indptr", "indices", "data", "shape", "_erows")
 
     def __init__(self, indptr, indices, data, shape: Tuple[int, int], *, check: bool = True):
         self.indptr = as_index_array(indptr, "indptr")
         self.indices = as_index_array(indices, "indices")
         self.data = as_float_array(data, "data")
         self.shape = (int(shape[0]), int(shape[1]))
-        self._ell = None
-        self._ell_builds = 0
         self._erows = None
         if check:
             self._validate()
@@ -203,8 +180,8 @@ class CSRMatrix:
     def _expanded_rows(self) -> np.ndarray:
         """Row index of every stored entry (COO row array), cached.
 
-        Like the ELL plan, the cache assumes the matrix is not mutated in
-        place after first use (nothing in the package does).
+        The cache assumes the matrix is not mutated in place after first
+        use (nothing in the package does).
         """
         if self._erows is None:
             self._erows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
@@ -214,134 +191,63 @@ class CSRMatrix:
     # core kernels
     # ------------------------------------------------------------------ #
 
-    #: Widest row packed into a length-class panel; longer rows go through
-    #: reduceat (the panel reduction is a Python loop over the width).
-    _ELL_MAX_WIDTH = 64
+    def _out(self, out: Optional[np.ndarray], shape: Tuple[int, ...], x: np.ndarray) -> np.ndarray:
+        """A zeroed result array of *shape*: a new one, or the validated *out*.
 
-    def _ell_plan(self):
-        """Entries regrouped by row nonzero count, built lazily on first use.
-
-        reduceat pays a per-*segment* dispatch cost that never amortises
-        over replicas, so multi-vector products were segment-bound.  The
-        plan permutes the entries so rows of equal length L sit in one
-        contiguous run: a product then does a single flat gather/multiply
-        over all nonzeros and reduces each run as an ELL-style ``(n_c,
-        L)`` panel (the classic GPU SpMV layout) with L-1 vectorized column
-        additions — strict left-to-right accumulation per row.  Rows wider
-        than :data:`_ELL_MAX_WIDTH` keep using reduceat over their run
-        (their segments dominate their own cost anyway).
-
-        How a row is summed is therefore a function of that row's length
-        *alone*.  This keeps every product in the package bitwise
-        consistent: 1-D and multi-vector kernels of one matrix agree, and
-        so do different matrices sharing rows — a per-block external part
-        and the whole-system restacked external matrix produce identical
-        row results, which the batched replica engine's exactness contract
-        relies on.  Assumes the matrix is not mutated in place after first
-        use (nothing in the package does).
-
-        Plan layout: ``(cols, data, runs, empty_rows)`` where *cols*/*data*
-        are the permuted entry arrays and each run is ``(rows, lo, hi,
-        width, seg_starts)`` — entries ``[lo, hi)``, panel width (0 = use
-        reduceat at the run-relative *seg_starts*).
+        The kernel accumulates into its output, so *out* is zeroed before
+        any product runs — which is why an *out* sharing memory with the
+        operand *x* is rejected: the zeroing would destroy the operand.
         """
-        if self._ell is None:
-            lengths = np.diff(self.indptr)
-            starts = self.indptr[:-1]
-            runs = []
-            parts = []
-            off = 0
-            for L in np.unique(lengths):
-                if L == 0:
-                    continue
-                rows_c = np.flatnonzero(lengths == L)
-                if L <= self._ELL_MAX_WIDTH:
-                    entry = (starts[rows_c][:, None] + np.arange(L)).ravel()
-                    runs.append((rows_c, off, off + len(entry), int(L), None))
-                else:
-                    entry = np.concatenate(
-                        [np.arange(starts[r], self.indptr[r + 1]) for r in rows_c]
-                    )
-                    seg_starts = np.zeros(len(rows_c), dtype=np.int64)
-                    np.cumsum(lengths[rows_c][:-1], out=seg_starts[1:])
-                    runs.append((rows_c, off, off + len(entry), 0, seg_starts))
-                parts.append(entry)
-                off += len(entry)
-            perm = (
-                np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-            )
-            self._ell = (
-                self.indices[perm],
-                self.data[perm],
-                runs,
-                np.flatnonzero(lengths == 0),
-            )
-            self._ell_builds += 1
-        return self._ell
-
-    def warm_plan(self) -> "CSRMatrix":
-        """Eagerly build the ELL gather plan (normally built lazily).
-
-        Sweep-plan compilation (:mod:`repro.perf`) calls this so the first
-        sweep pays no plan-construction cost; ``_ell_builds`` counts how
-        many times the plan was constructed (it must stay 1 across sweeps —
-        asserted by the test suite).
-        """
-        self._ell_plan()
-        return self
-
-    def _packed_product(self, gather_cols, out: np.ndarray) -> np.ndarray:
-        """SpMV over the length-class entry runs, 1-D or multi-vector.
-
-        *gather_cols* maps the plan's flat column array to the operand
-        values at those columns (any multi-vector axes leading); the
-        products are then reduced run by run, packed runs left to right
-        along the row, long-row runs via reduceat.
-        """
-        cols, data, runs, empty = self._ell_plan()
-        if len(cols) == 0:
-            # Zero-width plan (an empty block, e.g. from a clustered
-            # partition): the product is identically zero — skip the
-            # gather so no (rows, 0) float intermediate is built per call.
-            out[...] = 0.0
-            return out
-        vals = data * gather_cols(cols)
-        for rows_c, lo, hi, width, seg_starts in runs:
-            if width:
-                v = vals[..., lo:hi].reshape(vals.shape[:-1] + (len(rows_c), width))
-                acc = v[..., 0].copy()
-                for j in range(1, width):
-                    acc += v[..., j]
-                out[..., rows_c] = acc
-            else:
-                out[..., rows_c] = np.add.reduceat(vals[..., lo:hi], seg_starts, axis=-1)
-        if len(empty):
-            out[..., empty] = 0.0
+        if out is None:
+            return np.zeros(shape)
+        if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+            raise ValueError("out must be a float64 ndarray")
+        if out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, got {out.shape}")
+        if not out.flags.writeable:
+            raise ValueError("out must be writeable")
+        if np.shares_memory(out, x):
+            raise ValueError("out must not share memory with the operand")
+        out[...] = 0.0
         return out
+
+    def _product(self, x: np.ndarray, y: np.ndarray) -> None:
+        """``y += A @ x`` for one vector: the package's only SpMV kernel.
+
+        scipy's compiled ``csr_matvec`` on the matrix's own arrays: each
+        row is summed left to right from the accumulator's initial value,
+        ``y[i] + a_0 x_0 + a_1 x_1 + ...``.  Every caller passes a zeroed
+        *y*, so every row in the package is summed one way whichever
+        product (1-D, multi-vector, restacked matrix) it appears in.
+        """
+        _csr_matvec(
+            self.shape[0], self.shape[1], self.indptr, self.indices, self.data, x, y
+        )
 
     def matvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Sparse matrix-(multi-)vector product ``y = A @ x``.
 
         ``x`` is either a single vector of length ``ncols`` or an ``(R,
         ncols)`` multi-vector (one iterate per row), giving ``y`` of shape
-        ``(nrows,)`` / ``(R, nrows)``.  ``out``, if given, must have the
-        result shape and is overwritten and returned.  The multi-vector
-        path is bitwise identical to R separate 1-D calls (same per-entry
-        products, same left-to-right segment accumulation).
+        ``(nrows,)`` / ``(R, nrows)``.  ``out``, if given, must be a
+        writeable float64 array of the result shape that shares no memory
+        with ``x``; it is overwritten and returned.  The multi-vector path
+        is one 1-D product per row, so it is bitwise R separate 1-D calls.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             if x.shape != (self.ncols,):
                 raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-            if out is None:
-                out = np.empty(self.nrows)
-            return self._packed_product(lambda cols: x[cols], out)
+            out = self._out(out, (self.nrows,), x)
+            self._product(x, out)
+            return out
         elif x.ndim == 2:
             if x.shape[1] != self.ncols:
                 raise ValueError(f"x must have shape (R, {self.ncols}), got {x.shape}")
-            if out is None:
-                out = np.empty((x.shape[0], self.nrows))
-            return self._packed_product(lambda cols: x[:, cols], out)
+            out = self._out(out, (x.shape[0], self.nrows), x)
+            for xr, yr in zip(x, out):
+                self._product(xr, yr)
+            return out
         else:
             raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
 
@@ -350,17 +256,17 @@ class CSRMatrix:
     ) -> np.ndarray:
         """``y[i] = A @ X[rows[i]]`` without materialising ``X[rows]``.
 
-        Gather-SpMV over a subset of multi-vector rows: only the ``(len(rows),
-        nnz)`` entry gather is formed, never the ``(len(rows), ncols)`` row
-        copy.  Bitwise identical to ``matvec(X[r])`` per selected row.
+        One 1-D product per selected row, read in place: bitwise identical
+        to ``matvec(X[r])`` per selected row by construction.
         """
         X = np.asarray(X, dtype=np.float64)
         rows = np.asarray(rows, dtype=np.int64)
         if X.ndim != 2 or X.shape[1] != self.ncols:
             raise ValueError(f"X must have shape (R, {self.ncols}), got {X.shape}")
-        if out is None:
-            out = np.empty((len(rows), self.nrows))
-        return self._packed_product(lambda cols: X[rows[:, None], cols], out)
+        out = self._out(out, (len(rows), self.nrows), X)
+        for r, yr in zip(rows, out):
+            self._product(X[r], yr)
+        return out
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -497,9 +403,8 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
 
     def row_abs_sums(self) -> np.ndarray:
-        """Per-row sums of absolute values (∞-norm contributions)."""
-        out = np.empty(self.nrows)
-        return _segment_sums(np.abs(self.data), self.indptr, out)
+        """Per-row sums of absolute values (∞-norm contributions), ``|A| @ 1``."""
+        return self.abs().matvec(np.ones(self.ncols))
 
     def norm_inf(self) -> float:
         """Matrix ∞-norm (max absolute row sum)."""

@@ -19,6 +19,7 @@ from repro.perf import (
     FusedSweepExecutor,
     ReferenceSweepExecutor,
     compile_sweep_plan,
+    plan_compile_count,
     rhs_preserves_fold,
 )
 from repro.sparse import BlockRowView
@@ -177,30 +178,39 @@ def test_negative_zero_rhs_disables_mixed_gamma_fusion(trefethen_small):
 # --------------------------------------------------------------------- #
 
 
+def _plan_structures(plan, backend):
+    """The structures *backend* consumes, as the plan currently holds them."""
+    if backend == "reference":
+        return (plan.local_c, plan.ext_rows, plan.scatter_base)
+    return (plan.external, plan.local_off, plan.diag)
+
+
 @pytest.mark.parametrize("backend", ["fused", "reference"])
-def test_ell_plans_built_once_across_sweeps(trefethen_small, backend):
-    # Satellite: gather plans are compiled once per block at engine
-    # construction and reused by every subsequent sweep.
+def test_plan_structures_built_once_across_sweeps(trefethen_small, backend):
+    # Satellite: the plan's structures are compiled once per view at
+    # engine construction and reused, as the same objects, by every
+    # subsequent sweep.
     cfg = AsyncConfig(
         order="gpu", stale_read_prob=1.0, local_iterations=2, block_size=32,
         backend=backend,
     )
     view = BlockRowView(trefethen_small, block_size=cfg.block_size)
+    compiled_before = plan_compile_count()
     engine = AsyncEngine(view, _rhs(trefethen_small), cfg)
+    assert engine.backend == backend
+    assert plan_compile_count() == compiled_before + 1
     x = np.zeros(trefethen_small.shape[0])
     engine.sweep(x)
-    built_after_first = engine.plan.ell_plans_built
-    assert built_after_first > 0
+    built = _plan_structures(engine.plan, backend)
+    members = [list(s) for s in built if isinstance(s, list)]
     for _ in range(3):
         engine.sweep(x)
-    assert engine.plan.ell_plans_built == built_after_first
-    if backend == "reference":
-        for blk, lc in zip(view.blocks, engine.plan.local_c):
-            assert blk.external._ell_builds == 1
-            assert lc._ell_builds == 1
-    else:
-        assert engine.plan.external._ell_builds == 1
-        assert engine.plan.local_off._ell_builds == 1
+    after = _plan_structures(engine.plan, backend)
+    assert all(a is b for a, b in zip(built, after))
+    for old, new in zip(members, [s for s in after if isinstance(s, list)]):
+        assert all(a is b for a, b in zip(old, new))
+    assert compile_sweep_plan(view) is engine.plan
+    assert plan_compile_count() == compiled_before + 1
 
 
 def test_sweep_plan_shared_across_engines(trefethen_small):

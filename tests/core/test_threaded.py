@@ -4,6 +4,8 @@ These tests tolerate nondeterminism by construction: they assert outcome
 properties (convergence, well-posedness, accuracy), never exact histories.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,50 @@ def test_converges_many_workers(small_spd):
     ).solve(small_spd, b)
     assert r.converged
     assert np.allclose(r.x, np.linspace(-1, 1, 60), atol=1e-2)
+
+
+def test_starved_worker_holds_back_the_others(small_spd, monkeypatch):
+    # Regression: a worker the OS starves must not let the others spend
+    # their whole pass budget against its stale blocks and exit — the
+    # worker left running would then converge against frozen neighbours,
+    # ending in a non-solution with a stuck residual.  Starve worker 0
+    # for far longer than the others need for their entire budget.
+    passes = ThreadedAsyncSolver._passes
+
+    def starved(self, wid, blocks, b, state):
+        if wid == 0:
+            time.sleep(0.2)
+        passes(self, wid, blocks, b, state)
+
+    monkeypatch.setattr(ThreadedAsyncSolver, "_passes", starved)
+    b = small_spd.matvec(np.linspace(-1, 1, 60))
+    r = ThreadedAsyncSolver(
+        local_iterations=2, block_size=7, workers=6,
+        stopping=StoppingCriterion(tol=1e-5, maxiter=100),
+    ).solve(small_spd, b)
+    assert r.converged
+    counts = r.info["worker_passes"]
+    assert counts.max() - counts.min() <= 2  # the lead bound held throughout
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_failing_worker_ends_the_run(small_spd, monkeypatch):
+    # A worker that dies must not leave the others waiting on it forever.
+    passes = ThreadedAsyncSolver._passes
+
+    def failing(self, wid, blocks, b, state):
+        if wid == 0:
+            raise RuntimeError("worker failure")
+        passes(self, wid, blocks, b, state)
+
+    monkeypatch.setattr(ThreadedAsyncSolver, "_passes", failing)
+    b = small_spd.matvec(np.ones(60))
+    r = ThreadedAsyncSolver(
+        local_iterations=1, block_size=10, workers=3,
+        stopping=StoppingCriterion(tol=1e-12, maxiter=1000),
+    ).solve(small_spd, b)
+    assert not r.converged
+    assert r.info["worker_passes"][0] == 0
 
 
 def test_converges_on_trefethen(trefethen_small):

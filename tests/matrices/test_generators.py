@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.matrices import Problem, poisson_2d, poisson_3d, random_nonsymmetric, random_spd
-from repro.sparse import partition_rows_by_work, BlockRowView
+from repro.partition import partition_rows_by_work
+from repro.sparse import BlockRowView
 
 
 def test_random_spd_is_spd():

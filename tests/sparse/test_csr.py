@@ -291,9 +291,9 @@ def test_matvec_multivector_bitwise(rng):
 
 
 def test_matvec_multivector_wide_rows(rng):
-    # Rows wider than the packed-panel cap reduce via reduceat; the 2-D
-    # path must still match the 1-D path entry for entry.
-    dense = rng.standard_normal((6, CSRMatrix._ELL_MAX_WIDTH + 40))
+    # Rows wider than 64: the 2-D path must still match the 1-D path
+    # entry for entry.
+    dense = rng.standard_normal((6, 104))
     A = CSRMatrix.from_dense(dense)
     X = rng.standard_normal((3, dense.shape[1]))
     Y = A.matvec(X)

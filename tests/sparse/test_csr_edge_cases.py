@@ -1,8 +1,8 @@
-"""Edge cases of the packed SpMV kernels and the segment-sum scatter.
+"""Edge cases of the CSR SpMV kernel and the segment-sum scatter.
 
-``CSRMatrix.matvec`` / ``matvec_rows`` route every product through
-``_packed_product`` over the lazily built length-class (ELL) plan; the
-block decomposition feeds it degenerate shapes — blocks whose external
+``CSRMatrix.matvec`` / ``matvec_rows`` route every product through one
+compiled kernel (scipy's ``csr_matvec``); the block decomposition feeds
+it degenerate shapes — blocks whose external
 part is empty, rows with zero nonzeros, single-row blocks — that the
 dense-backed tests never exercise.  ``scatter_add_fold`` is the
 ``np.add.at`` replacement used by the sweep executors and must match it
@@ -18,7 +18,7 @@ from repro.sparse.csr import scatter_add_fold
 
 def _dense_cases():
     gen = np.random.default_rng(42)
-    wide = CSRMatrix._ELL_MAX_WIDTH + 8  # force a reduceat (long-row) run
+    wide = 72  # rows wider than 64
 
     mixed = gen.standard_normal((12, 9))
     mixed[np.abs(mixed) < 0.8] = 0.0
@@ -26,7 +26,7 @@ def _dense_cases():
     mixed[8, :] = 0.0  # another, non-adjacent
 
     dense_wide = np.zeros((6, wide + 4))
-    dense_wide[0, :wide] = gen.standard_normal(wide)  # wider than the panel cap
+    dense_wide[0, :wide] = gen.standard_normal(wide)  # a wide row
     dense_wide[2, :3] = gen.standard_normal(3)
     dense_wide[5, 1] = 2.5  # single-entry row
 

