@@ -15,7 +15,14 @@ Two claims keep the refactor honest:
   construction is charged to the partitioned path.
 
 Timings use min-of-repeats (the standard noise filter for sub-millisecond
-cells).  Artifacts: ``benchmarks/artifacts/BENCH_partition.txt`` (rendered)
+cells), reported with each cell's spread (median over min).  A 2% bar
+can only be read on a host whose noise is below 2%, so the overhead cells
+carry an **A/A control**: the raw flow timed a second time, interleaved
+with the A/B cells.  The host's noise floor is the largest of the A/A
+difference and the three cells' spreads; the overhead gate is enforced
+only when that floor is below the bar (``gate_enforced`` and
+``noise_floor`` in the JSON), the way ``bench_shard`` arms its scaling
+gate on core count.  Artifacts: ``benchmarks/artifacts/BENCH_partition.txt`` (rendered)
 and ``BENCH_partition.json`` (machine-readable rows).  Runs standalone
 (``python benchmarks/bench_partition.py``) or under pytest.
 """
@@ -99,16 +106,25 @@ def _overhead_row() -> dict:
         view = BlockRowView(A, partition=part)
         AsyncEngine(view, b, cfg).run(stopping=stopping)
 
-    # Interleaved min-of-repeats, alternating cell order each repeat so
-    # neither path systematically inherits the warmer caches.
-    best = {"raw": float("inf"), "partitioned": float("inf")}
-    cells = [("raw", run_raw), ("partitioned", run_partitioned)]
+    # Interleaved min-of-repeats, rotating the cell order each repeat so
+    # no path systematically inherits the warmer caches.  "raw_control" is
+    # the A/A cell: the raw flow again, so its difference from "raw" is
+    # the noise floor of the comparison.
+    cells = [("raw", run_raw), ("partitioned", run_partitioned), ("raw_control", run_raw)]
+    times = {name: [] for name, _ in cells}
     for rep in range(REPEATS):
-        for name, fn in cells if rep % 2 == 0 else reversed(cells):
+        shift = rep % len(cells)
+        for name, fn in cells[shift:] + cells[:shift]:
             t0 = time.perf_counter()
             fn()
-            best[name] = min(best[name], (time.perf_counter() - t0) / SWEEPS)
-    raw_s, part_s = best["raw"], best["partitioned"]
+            times[name].append((time.perf_counter() - t0) / SWEEPS)
+    best = {name: min(t) for name, t in times.items()}
+    spread = {name: float(np.median(t)) / best[name] - 1.0 for name, t in times.items()}
+    raw_s, part_s, control_s = best["raw"], best["partitioned"], best["raw_control"]
+    aa = (control_s - raw_s) / raw_s
+    # Identical code differs by |aa|; any one cell's readings vary by its
+    # spread.  A bar below either cannot be read on this host.
+    noise = max(abs(aa), *spread.values())
     return {
         "claim": "uniform-overhead",
         "matrix": "fv1",
@@ -117,8 +133,13 @@ def _overhead_row() -> dict:
         "repeats": REPEATS,
         "raw_s_per_sweep": raw_s,
         "partitioned_s_per_sweep": part_s,
+        "control_s_per_sweep": control_s,
+        "spread": spread,
         "overhead": (part_s - raw_s) / raw_s,
+        "aa_overhead": aa,
+        "noise_floor": noise,
         "gate": MAX_UNIFORM_OVERHEAD,
+        "gate_enforced": noise < MAX_UNIFORM_OVERHEAD,
     }
 
 
@@ -140,11 +161,22 @@ def render(rows: list) -> str:
             f"  (gate >= {balance['gate']:.2f}x)",
             "",
             f"fv1, block size {overhead['block_size']}, {SWEEPS} sweeps, "
-            f"min of {REPEATS} repeats (construction + sweeps):",
-            f"  raw boundaries     {overhead['raw_s_per_sweep'] * 1e3:8.3f} ms/sweep",
-            f"  uniform partition  {overhead['partitioned_s_per_sweep'] * 1e3:8.3f} ms/sweep",
+            f"min of {REPEATS} repeats (construction + sweeps), spread = median/min - 1:",
+            f"  raw boundaries     {overhead['raw_s_per_sweep'] * 1e3:8.3f} ms/sweep"
+            f"  spread {overhead['spread']['raw'] * 100:5.1f}%",
+            f"  uniform partition  {overhead['partitioned_s_per_sweep'] * 1e3:8.3f} ms/sweep"
+            f"  spread {overhead['spread']['partitioned'] * 100:5.1f}%",
+            f"  raw again (A/A)    {overhead['control_s_per_sweep'] * 1e3:8.3f} ms/sweep"
+            f"  spread {overhead['spread']['raw_control'] * 100:5.1f}%",
             f"  overhead {overhead['overhead'] * 100:+.3f}%"
             f"  (gate < {overhead['gate'] * 100:.0f}%)",
+            f"  A/A control {overhead['aa_overhead'] * 100:+.3f}%,"
+            f" noise floor {overhead['noise_floor'] * 100:.2f}%: gate "
+            + (
+                "ARMED"
+                if overhead["gate_enforced"]
+                else f"not armed (host noise is above {overhead['gate'] * 100:.0f}%)"
+            ),
         ]
     )
 
@@ -165,7 +197,7 @@ def _check(rows: list) -> None:
         f"{balance['excess_reduction']:.2f}x "
         f"(gate {MIN_IMBALANCE_REDUCTION:.2f}x):\n" + render(rows)
     )
-    assert overhead["overhead"] < MAX_UNIFORM_OVERHEAD, (
+    assert not overhead["gate_enforced"] or overhead["overhead"] < MAX_UNIFORM_OVERHEAD, (
         f"uniform partition threading costs {overhead['overhead'] * 100:.3f}% "
         f"per sweep (gate {MAX_UNIFORM_OVERHEAD * 100:.0f}%):\n" + render(rows)
     )

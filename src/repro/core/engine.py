@@ -43,7 +43,6 @@ from ..runtime.recorder import RunRecorder
 from ..solvers.base import SolveResult
 from ..solvers.block_jacobi import local_jacobi_sweeps
 from ..sparse import BlockRowView
-from ..sparse.csr import scatter_add_fold
 from .fault import FaultScenario
 from .schedules import AsyncConfig, WaveScheduler, replica_rngs
 
@@ -141,7 +140,7 @@ class AsyncEngine:
                 config,
                 self.scheduler,
                 has_fault=fault is not None,
-                rhs_fold_safe=rhs_preserves_fold(self.b),
+                rhs_no_negative_zero=rhs_preserves_fold(self.b),
                 plan=self.plan,
             )
             self._executor = make_executor(self.backend, self)
@@ -198,7 +197,7 @@ class AsyncEngine:
         everywhere else.  Both live in :mod:`repro.perf.backends`; the
         semantics described above are backend-independent.
         """
-        return self._executor.sweep(x)
+        return self._executor.sweep(self, x)
 
     # ------------------------------------------------------------------ #
 
@@ -307,9 +306,8 @@ class BatchedAsyncEngine:
 
     All 2-D kernels are bitwise identical to their stacked 1-D
     counterparts (the compiled CSR kernel sums each row left to right in
-    every product, and both ``np.add.at`` and the segment-sum scatter
-    :func:`repro.sparse.scatter_add_fold` accumulate per accumulator in
-    listed order), which the test suite asserts directly.
+    every product, and ``np.add.at`` accumulates per accumulator in listed
+    order), which the test suite asserts directly.
 
     Fault scenarios are not supported — :func:`repro.stats.run_ensemble`
     falls back to the sequential path for those.
@@ -424,7 +422,6 @@ class BatchedAsyncEngine:
         self._e_indices = [blk.external.indices for blk in view.blocks]
         self._e_data = [blk.external.data for blk in view.blocks]
         self._diag_blocks = [blk.diag for blk in view.blocks]
-        self._fold_safe = rhs_preserves_fold(self.b)
         if config.schwarz != "none" and view.partition.overlap > 0:
             # Overlapped Schwarz mode: every replica advances through the
             # shared extended-block workspace (repro.perf.ras), consuming
@@ -452,15 +449,16 @@ class BatchedAsyncEngine:
         # snapshot-read and all-deferred regimes — so replica r stays
         # bitwise the sequential run regardless of which engine fused.
         self.backend = resolve_backend(
-            config, self.schedulers[0], rhs_fold_safe=self._fold_safe, plan=self.plan
+            config,
+            self.schedulers[0],
+            rhs_no_negative_zero=rhs_preserves_fold(self.b),
+            plan=self.plan,
         )
         self._stencil_kernels = (
             self.plan.stencil_kernels() if self.backend == "stencil" else None
         )
         if self.backend != "stencil":
             self.plan.warm_fused()
-        if self.backend == "reference":
-            self.plan.warm_reference()
 
     #: Groups smaller than this are folded into one fused per-position
     #: update instead of getting their own kernel calls.  With the "gpu"
@@ -575,7 +573,6 @@ class BatchedAsyncEngine:
                     self.schedulers[r],
                     self.sweep_index,
                     self.update_counts[r],
-                    fold_safe=self._fold_safe,
                 )
             self.sweep_index += 1
             return X
@@ -713,18 +710,7 @@ class BatchedAsyncEngine:
                             cols = e.indices[ei]
                             rg = rows_g[mi]
                             delta = e.data[ei] * (X[rg, cols] - S[rg, cols])
-                            if self._fold_safe:
-                                # Segment-sum scatter (one bincount) in
-                                # place of np.add.at; per accumulator the
-                                # fold order is identical (base first,
-                                # then deltas in entry order).
-                                ext = scatter_add_fold(
-                                    ext,
-                                    mi * blk.nrows + self._ext_rows[bid][ei],
-                                    delta,
-                                )
-                            else:
-                                np.add.at(ext, (mi, self._ext_rows[bid][ei]), delta)
+                            np.add.at(ext, (mi, self._ext_rows[bid][ei]), delta)
                 s = (
                     self._b_blocks[bid][rows_g] if self.multi_rhs else self._b_blocks[bid]
                 ) - ext
@@ -810,10 +796,7 @@ class BatchedAsyncEngine:
                 )[sel]
                 erep = np.repeat(rows_g, self._ennz[bids])[sel]
                 delta = edata * (X[erep, ecols] - S[erep, ecols])
-                if self._fold_safe:
-                    ext = scatter_add_fold(ext, epos, delta)
-                else:
-                    np.add.at(ext, epos, delta)
+                np.add.at(ext, epos, delta)
         if self.multi_rhs:
             # Same flat gather as the iterate: each pair's section takes
             # its own replica's rhs rows.

@@ -5,16 +5,15 @@ sweep computes; this subpackage decides *how* it executes:
 
 * :class:`SweepPlan` (:mod:`repro.perf.plan`) compiles a block
   decomposition, once, into the precomputed structures every execution
-  path consumes — compressed local parts, scatter segment ids, stacked
-  whole-system matrices, and (on demand) the stencil structure detection
-  outcome;
+  path consumes — the per-block loop's resolved kernel arguments and
+  restacked externals, stacked whole-system matrices, and (on demand)
+  the stencil structure detection outcome;
 * :mod:`repro.perf.stencil` detects stencil-regular systems and compiles
   their matrix-free offset-shifted sweep kernels;
 * :mod:`repro.perf.backends` dispatches each engine to the matrix-free
   stencil executor where detection succeeds, to a fused whole-system
   executor wherever that is bitwise-exact for the configured asynchronism
-  regime, and to the (plan-accelerated) per-block reference loop
-  everywhere else.
+  regime, and to the per-block reference loop everywhere else.
 
 This mirrors how production asynchronous-solver stacks are organised
 (e.g. the backend-dispatched executors over precompiled per-subdomain
@@ -28,6 +27,7 @@ seam that is observable only through timing.
 # `import repro.perf` works standalone in either import order.
 from ..core.schedules import BACKENDS
 from .backends import (
+    BlockLoop,
     FusedSweepExecutor,
     ReferenceSweepExecutor,
     StencilSweepExecutor,
@@ -50,6 +50,7 @@ __all__ = [
     "resolve_backend",
     "consume_schedule_draws",
     "make_executor",
+    "BlockLoop",
     "FusedSweepExecutor",
     "RASSweepExecutor",
     "RASWorkspace",

@@ -3,12 +3,10 @@
 Three executors advance :class:`repro.core.AsyncEngine`'s iterate through
 one global sweep:
 
-* :class:`ReferenceSweepExecutor` — the per-block Python loop, semantics
-  for every regime (mixed per-entry races, faults, partial deferred
-  writes), sped up by the compiled per-block plans of
-  :class:`repro.perf.SweepPlan`: segment-sum scatter instead of
-  ``np.add.at``, compressed block-local inner sweeps with one write-back
-  per block.
+* :class:`ReferenceSweepExecutor` — the per-block loop (:class:`BlockLoop`,
+  shared with async-RAS), semantics for every regime (mixed per-entry
+  races, faults, partial deferred writes), with its sweep-invariant work —
+  the snapshot product and the freshness draws — done once per sweep.
 * :class:`FusedSweepExecutor` — the whole sweep as a handful of
   whole-system numpy kernels: one stacked external SpMV, one vectorized
   right-hand-side assembly, *k* stacked local Jacobi sweeps.  No Python
@@ -31,32 +29,33 @@ generator state:
 * **all-deferred writes** (``deferred_write_prob == 1``): every write
   lands at the sweep end, so live reads — any γ — observe pre-sweep
   values; with mixed γ the race corrections of the reference loop are
-  exact signed zeros, which its fold accumulation cannot propagate into
-  the iterate unless the right-hand side carries ``-0.0`` entries
-  (checked at dispatch).
+  exact signed zeros, which its in-place fold cannot propagate into the
+  iterate unless the right-hand side carries ``-0.0`` entries (checked
+  at dispatch, :func:`repro.perf.rhs_preserves_fold`).
 
-Scheduler randomness is consumed identically on both paths:
+Scheduler randomness is consumed identically on every path:
 ``Generator.random`` fills doubles sequentially from the bit stream, so
-the fused path's single draw call per sweep advances the generator to
-bitwise the state the reference loop's interleaved per-block draws leave
-behind.  Faults always take the reference loop.
+one draw call per sweep advances the generator to bitwise the state
+per-block draws of the same sizes, in the same order, leave behind.
+Faults always take the reference loop.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from ..solvers.block_jacobi import local_jacobi_sweeps
-from ..sparse.csr import scatter_add_fold
-from .plan import SweepPlan, rhs_preserves_fold
+from .plan import BlockTable, SweepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import AsyncEngine
     from ..core.schedules import AsyncConfig, WaveScheduler
 
 __all__ = [
+    "BlockLoop",
     "fused_sweep_exact",
     "resolve_backend",
     "consume_schedule_draws",
@@ -72,11 +71,11 @@ def fused_sweep_exact(
     scheduler: "WaveScheduler",
     *,
     has_fault: bool = False,
-    rhs_fold_safe: bool = True,
+    rhs_no_negative_zero: bool = True,
 ) -> bool:
     """Whether the fused path is bitwise-exact for this configuration.
 
-    See the module docstring for the regime analysis.  *rhs_fold_safe* is
+    See the module docstring for the regime analysis.  *rhs_no_negative_zero* is
     :func:`repro.perf.rhs_preserves_fold` of the engine's right-hand side;
     it only matters for mixed-γ all-deferred regimes.
     """
@@ -87,7 +86,7 @@ def fused_sweep_exact(
         return True
     if config.deferred_write_prob >= 1.0:
         mixed = bool(np.any((gamma > 0.0) & (gamma < 1.0)))
-        return rhs_fold_safe or not mixed
+        return rhs_no_negative_zero or not mixed
     return False
 
 
@@ -96,7 +95,7 @@ def resolve_backend(
     scheduler: "WaveScheduler",
     *,
     has_fault: bool = False,
-    rhs_fold_safe: bool = True,
+    rhs_no_negative_zero: bool = True,
     plan: "SweepPlan" = None,
 ) -> str:
     """Resolve ``config.backend`` to the executor actually used.
@@ -116,7 +115,7 @@ def resolve_backend(
     if requested == "reference":
         return "reference"
     exact = fused_sweep_exact(
-        config, scheduler, has_fault=has_fault, rhs_fold_safe=rhs_fold_safe
+        config, scheduler, has_fault=has_fault, rhs_no_negative_zero=rhs_no_negative_zero
     )
     if requested == "fused":
         if not exact:
@@ -182,17 +181,21 @@ def consume_schedule_draws(engine: "AsyncEngine", plan: SweepPlan):
 
 
 class FusedSweepExecutor:
-    """One global sweep as whole-system kernels (no per-block Python loop)."""
+    """One global sweep as whole-system kernels (no per-block Python loop).
+
+    Like every executor here it keeps no reference to its engine — the
+    engine passes itself to each :meth:`sweep` — so no engine/executor
+    cycle keeps a finished engine's generator and buffers alive until the
+    cyclic collector runs.
+    """
 
     name = "fused"
 
     def __init__(self, engine: "AsyncEngine"):
-        self.engine = engine
         self.plan: SweepPlan = engine.plan.warm_fused()
         self._ext_buf = np.empty(engine.view.n)
 
-    def sweep(self, x: np.ndarray) -> np.ndarray:
-        eng = self.engine
+    def sweep(self, eng: "AsyncEngine", x: np.ndarray) -> np.ndarray:
         cfg = eng.config
         plan = self.plan
         consume_schedule_draws(eng, plan)
@@ -229,14 +232,12 @@ class StencilSweepExecutor:
     name = "stencil"
 
     def __init__(self, engine: "AsyncEngine"):
-        self.engine = engine
         self.plan: SweepPlan = engine.plan
         self.kernels = self.plan.stencil_kernels()
         self._ext_buf = np.empty(engine.view.n)
         self._s_buf = np.empty(engine.view.n)
 
-    def sweep(self, x: np.ndarray) -> np.ndarray:
-        eng = self.engine
+    def sweep(self, eng: "AsyncEngine", x: np.ndarray) -> np.ndarray:
         cfg = eng.config
         consume_schedule_draws(eng, self.plan)
 
@@ -249,108 +250,166 @@ class StencilSweepExecutor:
         return x
 
 
-class ReferenceSweepExecutor:
-    """The per-block sweep loop, exact in every regime.
+class BlockLoop:
+    """The per-block sweep loop over one :class:`repro.perf.plan.BlockTable`.
 
-    Identical semantics to the historical ``AsyncEngine.sweep`` loop, with
-    three plan-powered accelerations that keep the iterates bitwise:
+    Shared by the disjoint reference executor and async-RAS
+    (:mod:`repro.perf.ras`), whose extended blocks read and sweep halo
+    rows but write back only their owned rows.  Blocks run in schedule
+    order against the shared iterate, each reading off-block values from
+    the sweep-start snapshot, from live memory (γ ≥ 1, the pipeline tail),
+    or per entry from either (0 < γ < 1).  Done once per sweep:
 
-    * block updates iterate on the compressed block-local slice and write
-      the shared iterate once per block (nobody reads a block's rows
-      until its update completes, so intermediate write-backs were
-      unobservable);
-    * the per-entry race corrections scatter through the plan's
-      precomputed segment ids via one ``np.bincount``
-      (:func:`repro.sparse.scatter_add_fold`) instead of ``np.add.at``;
-    * all gather plans and index structures are compiled once
-      (:meth:`repro.perf.SweepPlan.warm_reference`) instead of per sweep.
+    * one product of the stacked externals against the snapshot — bitwise
+      the per-block products, since the compiled kernel sums each row left
+      to right in whichever matrix holds it;
+    * one ``Generator.random`` call for every freshness mask and defer
+      decision, each position's fresh values followed by its defer value —
+      bitwise the per-block draws, since ``random`` fills doubles
+      sequentially from the bit stream.
+
+    Each block folds its race corrections into its slice of that product
+    with ``np.add.at`` (in place, in entry order) and runs its local
+    iterations as ``fill(0)``, the compiled ``csr_matvec``, ``np.subtract``
+    and ``np.divide`` into buffers shared by every block: the operations,
+    in order, of ``(s - L.matvec(z)) / d``.  Nothing reads a block's owned
+    rows before it finishes, so one write-back per block is bitwise the
+    in-place update.  The loop keeps no state between sweeps, so one
+    instance serves the batched engine's replicas in turn.
     """
+
+    def __init__(self, table: BlockTable):
+        self.table = table
+        m = table.max_rows
+        self._ext = np.empty(table.stacked.nrows)
+        self._s = np.empty(m)
+        self._acc = np.empty(m)
+        self._z = (np.empty(m), np.empty(m))
+
+    def external_product(self, v: np.ndarray) -> np.ndarray:
+        """Every block's external gather against *v*, into the shared buffer."""
+        E = self.table.stacked
+        self._ext.fill(0.0)
+        _csr_matvec(E.shape[0], E.shape[1], E.indptr, E.indices, E.data, v, self._ext)
+        return self._ext
+
+    def local_sweeps(self, local, s, z, k, omega, frozen=None, corruption=None):
+        """*k* local Jacobi iterations of one block from *z* (not modified).
+
+        *local* is the block's ``(indptr, indices, data, diag)``.  Returns a
+        view of a shared buffer (with ω ≠ 1, a new array), valid until the
+        next block runs.  *frozen* block-local rows never update (a broken
+        core) or, given a *corruption* factor, update wrongly (§4.5).
+        """
+        ip, ix, dx, diag = local
+        m = len(diag)
+        acc = self._acc[:m]
+        bufs = (self._z[0][:m], self._z[1][:m])
+        for it in range(k):
+            new = bufs[it & 1]
+            acc.fill(0.0)
+            _csr_matvec(m, m, ip, ix, dx, z, acc)
+            np.subtract(s, acc, out=new)
+            np.divide(new, diag, out=new)
+            if omega != 1.0:
+                new = (1.0 - omega) * z + omega * new
+            if frozen is not None and len(frozen):
+                if corruption is not None:
+                    new[frozen] *= corruption
+                else:
+                    new[frozen] = z[frozen]
+            z = new
+        return z
+
+    def sweep(self, x, b, rng, order, gamma, update_counts, config, *, frozen=None, corruption=None):
+        """One global sweep of *x* in place: blocks in *order*, freshness *gamma*.
+
+        *frozen* lists each block's frozen block-local rows under an active
+        fault (else ``None``); *corruption* is its silent-error factor.
+        """
+        t = self.table
+        E = t.stacked
+        k, omega, p_defer = config.local_iterations, config.omega, config.deferred_write_prob
+        gl = gamma.tolist()
+        mixed = (gamma > 0.0) & (gamma < 1.0)
+        snapshot = x if np.all(gamma >= 1.0) else x.copy()
+        ext_all = self._ext if snapshot is x else self.external_product(snapshot)
+
+        # Every random value of the sweep in one draw, in position order:
+        # each position's freshness values (mixed γ only), then its defer
+        # value (deferred writes only).  hit[cut[pos]:cut[pos + 1]] are
+        # position pos's fresh entries.
+        n = len(order)
+        offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.where(mixed, t.ennz[order], 0) + (p_defer > 0.0), out=offs[1:])
+        u = rng.random(int(offs[-1]))
+        thr = np.repeat(gamma, np.diff(offs))
+        if p_defer > 0.0:
+            slot = offs[1:] - 1
+            defer = (u[slot] < p_defer).tolist()
+            thr[slot] = -1.0
+        hit = np.flatnonzero(u < thr)
+        cut = np.searchsorted(hit, offs)
+        pos_of = np.repeat(np.arange(n), np.diff(cut))
+        ent = hit - offs[pos_of] + t.ebase[order[pos_of]]
+        f_cols, f_data = E.indices[ent], E.data[ent]
+        f_rows = np.searchsorted(E.indptr, ent, side="right") - 1
+        cut = cut.tolist()
+
+        deferred = []
+        for pos, bid in enumerate(order.tolist()):
+            lo, hi, off, own_lo, own_hi, start, stop, ext_csr, local = t.entries[bid]
+            ext = ext_all[off : off + hi - lo]
+            g = gl[pos]
+            if g >= 1.0:
+                ext.fill(0.0)
+                _csr_matvec(hi - lo, E.shape[1], *ext_csr, x, ext)
+                read = x
+            else:
+                read = snapshot
+                # Per-entry races: each off-block component is, with
+                # probability γ, read after its owner's write from this
+                # sweep landed.  Systems with many small off-block
+                # couplings self-average (fv1's variation is tiny);
+                # systems with a few heavy ones do not (Trefethen's is
+                # not) — the §4.1 contrast emerges from the matrix.
+                a, c = cut[pos], cut[pos + 1]
+                if c > a:
+                    cols, rows = f_cols[a:c], f_rows[a:c]
+                    np.add.at(ext_all, rows, f_data[a:c] * (x[cols] - snapshot[cols]))
+            s = np.subtract(b[lo:hi], ext, out=self._s[: hi - lo])
+            z = self.local_sweeps(
+                local, s, read[lo:hi], k, omega,
+                frozen[bid] if frozen is not None else None, corruption,
+            )
+            if p_defer > 0.0 and defer[pos]:
+                deferred.append((start, stop, z[own_lo:own_hi].copy()))
+            else:
+                x[start:stop] = z[own_lo:own_hi]
+
+        for start, stop, vals in deferred:
+            x[start:stop] = vals
+        np.add.at(update_counts, order, 1)
+        return x
+
+
+class ReferenceSweepExecutor:
+    """:class:`BlockLoop` over the disjoint blocks, with the engine's fault state."""
 
     name = "reference"
 
     def __init__(self, engine: "AsyncEngine"):
-        self.engine = engine
-        self.plan: SweepPlan = engine.plan.warm_reference()
-        self._b_blocks = [engine.b[blk.rows] for blk in engine.view.blocks]
-        # The segment-sum scatter flips -0.0 bases to +0.0; where that
-        # could reach the iterate (b carrying -0.0 entries) fall back to
-        # np.add.at so the reference loop stays bitwise the historical one.
-        self._fold_safe = rhs_preserves_fold(engine.b)
+        self.loop = BlockLoop(engine.plan.reference_table)
 
-    def sweep(self, x: np.ndarray) -> np.ndarray:
-        eng = self.engine
-        cfg = eng.config
-        rng = eng.rng
-        view = eng.view
-        plan = self.plan
-        ext_rows = plan.ext_rows
-        scatter_base = plan.scatter_base
-        local_c = plan.local_c
+    def sweep(self, eng: "AsyncEngine", x: np.ndarray) -> np.ndarray:
         eng._refresh_fault_state()
         frozen = eng._frozen_local if eng._frozen_mask is not None else None
-
-        order, gamma = eng.scheduler.plan_for_sweep(eng.sweep_index, rng)
-        snapshot = x if np.all(gamma >= 1.0) else x.copy()
-        deferred: List[Tuple[slice, np.ndarray]] = []
-
-        for pos, bid in enumerate(order):
-            blk = view.blocks[bid]
-            rows = blk.rows
-            g = gamma[pos]
-            if g <= 0.0:
-                ext = blk.external.matvec(snapshot)
-            elif g >= 1.0:
-                ext = blk.external.matvec(x)
-            else:
-                # Per-entry races: each off-block component is, with
-                # probability γ, read after its owner's write from this
-                # sweep landed.  Systems with many small off-block
-                # couplings self-average (fv1's variation is tiny); systems
-                # with a few heavy ones do not (Trefethen's is not) — the
-                # §4.1 contrast emerges from the matrix, not from a knob.
-                ext = blk.external.matvec(snapshot)
-                e = blk.external
-                fresh = rng.random(plan.ennz[bid]) < g
-                if fresh.any():
-                    cols = e.indices[fresh]
-                    delta = e.data[fresh] * (x[cols] - snapshot[cols])
-                    if self._fold_safe:
-                        ext = scatter_add_fold(
-                            ext, ext_rows[bid][fresh], delta, base_ids=scatter_base[bid]
-                        )
-                    else:
-                        np.add.at(ext, ext_rows[bid][fresh], delta)
-            s = self._b_blocks[bid] - ext
-
-            frozen_local = frozen[bid] if frozen is not None else None
-            defer = cfg.deferred_write_prob > 0.0 and rng.random() < cfg.deferred_write_prob
-            # Local iterations on the block-local slice; the shared iterate
-            # is written once, after the block finishes (or at sweep end
-            # for a deferred write) — no earlier read can observe the
-            # difference, so this is bitwise the in-place variant.
-            z = x[rows]
-            for _ in range(cfg.local_iterations):
-                new = (s - local_c[bid].matvec(z)) / blk.diag
-                if cfg.omega != 1.0:
-                    new = (1.0 - cfg.omega) * z + cfg.omega * new
-                if frozen_local is not None and len(frozen_local):
-                    if eng.fault is not None and eng.fault.kind == "silent":
-                        # Silent errors (§4.5 outlook): the core computes,
-                        # but wrongly — every update is slightly off.
-                        new[frozen_local] *= eng.fault.corruption
-                    else:
-                        # Broken cores never compute: their components keep
-                        # the stale value through every local sweep.
-                        new[frozen_local] = z[frozen_local]
-                z = new
-            if defer:
-                deferred.append((rows, z))
-            else:
-                x[rows] = z
-            eng.update_counts[bid] += 1
-
-        for rows, vals in deferred:
-            x[rows] = vals
+        silent = eng.fault is not None and eng.fault.kind == "silent"
+        order, gamma = eng.scheduler.plan_for_sweep(eng.sweep_index, eng.rng)
+        self.loop.sweep(
+            x, eng.b, eng.rng, order, gamma, eng.update_counts, eng.config,
+            frozen=frozen, corruption=eng.fault.corruption if silent else None,
+        )
         eng.sweep_index += 1
         return x
 

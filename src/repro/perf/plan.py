@@ -8,12 +8,12 @@ blocks) that bookkeeping, not arithmetic, dominated the time-per-iteration
 the paper's Figure 8 / Table 5 measure.
 
 :class:`SweepPlan` compiles the decomposition once, at first engine
-construction, into the structures both execution backends consume:
+construction, into the structures the execution backends consume:
 
-* **per-block** (the reference loop): the compressed (block-local-column)
-  local parts, per-entry scatter segment ids (the ``np.bincount``
-  replacement for ``np.add.at``), per-block scatter bases and external
-  nonzero counts;
+* **per-block** (the reference and async-RAS loops): a
+  :class:`BlockTable` — every block's kernel arguments resolved once,
+  plus the block externals restacked so one product per sweep serves
+  every snapshot read;
 * **whole-system** (the fused path): the restacked external and local
   off-diagonal matrices plus the concatenated diagonal — one
   multi-vector-shaped kernel set for the entire sweep.
@@ -29,6 +29,7 @@ batched, preconditioner-internal — shares a single compilation.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 import numpy as np
@@ -36,7 +37,13 @@ import numpy as np
 from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
 
-__all__ = ["SweepPlan", "compile_sweep_plan", "plan_compile_count", "rhs_preserves_fold"]
+__all__ = [
+    "BlockTable",
+    "SweepPlan",
+    "compile_sweep_plan",
+    "plan_compile_count",
+    "rhs_preserves_fold",
+]
 
 #: Total SweepPlan compilations since import — a diagnostic counter the
 #: serve-layer cache tests use to assert "one compilation per structure".
@@ -57,29 +64,66 @@ def plan_compile_count() -> int:
 def rhs_preserves_fold(b: np.ndarray) -> bool:
     """Whether *b* is free of ``-0.0`` entries.
 
-    The segment-sum scatter (:func:`repro.sparse.scatter_add_fold`) seeds
-    each accumulator with ``0.0 + base``, which differs from the in-place
-    fold only by flipping a ``-0.0`` base to ``+0.0`` — a difference that
-    can reach the iterate through ``s = b - ext`` only where *b* itself
-    holds a negative zero.  Every practically occurring right-hand side
-    passes; the backend dispatch degrades gracefully when one does not.
+    The reference loop folds its per-entry race corrections into the
+    snapshot product in place (``ext[r] + w_1 + w_2 + ...``).  Where the
+    live and snapshot values agree — every race of an all-deferred sweep —
+    the corrections are signed zeros, and ``-0.0 + +0.0`` flips a ``-0.0``
+    row sum to ``+0.0``.  That flip reaches the iterate through
+    ``s = b - ext`` only where *b* itself holds a negative zero, so the
+    fused dispatch (which adds no corrections) requires this for mixed-γ
+    all-deferred regimes.  Every practically occurring right-hand side
+    passes; the dispatch degrades gracefully when one does not.
     """
     b = np.asarray(b)
     return not bool(np.any((b == 0.0) & np.signbit(b)))
+
+
+class BlockTable:
+    """The block loop's kernel arguments, resolved once per decomposition.
+
+    ``entries[k]`` is block *k*'s ``(lo, hi, offset, own_lo, own_hi,
+    start, stop, (ext indptr, indices, data), (local indptr, indices, data,
+    diag))``: it reads and sweeps rows ``[lo, hi)`` and writes back owned
+    rows ``[start, stop)`` (``[own_lo, own_hi)`` block-locally) — one range
+    for a disjoint block, the interior of an extended RAS block.  *stacked*
+    restacks every block's external part in block order, block *k*'s rows
+    from ``offset``, so one product per sweep serves every block; ``ebase``
+    and ``ennz`` locate each block's external entries in it, for the race
+    corrections.  *stacked* is built (:meth:`CSRMatrix.restack`) before
+    the entries capture the externals' arrays, which are then its views.
+    """
+
+    def __init__(self, ranges, externals, locals_, diags, stacked: CSRMatrix):
+        offsets = np.zeros(len(ranges) + 1, dtype=np.int64)
+        np.cumsum([hi - lo for lo, hi, _, _ in ranges], out=offsets[1:])
+        self.entries = [
+            (lo, hi, int(off), start - lo, stop - lo, start, stop,
+             (e.indptr, e.indices, e.data), (c.indptr, c.indices, c.data, d))
+            for (lo, hi, start, stop), off, e, c, d
+            in zip(ranges, offsets[:-1], externals, locals_, diags)
+        ]
+        self.stacked = stacked
+        self.ebase = stacked.indptr[offsets[:-1]]
+        self.ennz = np.array([e.nnz for e in externals], dtype=np.int64)
+        self.max_rows = int(np.diff(offsets).max(initial=0))
 
 
 class SweepPlan:
     """Compiled execution structures of one block decomposition.
 
     Built by :func:`compile_sweep_plan`; construction itself is cheap —
-    the heavier per-backend structures are materialised on demand by
-    :meth:`warm_reference` / :meth:`warm_fused` so an engine only pays for
-    the backend it runs.
+    the heavier per-backend structures are materialised on demand
+    (:attr:`reference_table`, :attr:`ras_table`, :meth:`warm_fused`) so an
+    engine only pays for the backend it runs.
 
     Attributes
     ----------
     view:
-        The decomposition this plan compiles.
+        The decomposition this plan compiles.  The view owns its plan
+        (``view._perf_plan``) and the plan refers back to it weakly, so
+        the pair forms no reference cycle and a finished solve's
+        decomposition is freed at once; every holder of a plan also holds
+        its view.
     partition:
         The :class:`repro.partition.Partition` the view was built on — one
         compilation per partition, shared by every engine on the view.
@@ -88,18 +132,20 @@ class SweepPlan:
     """
 
     def __init__(self, view: BlockRowView):
-        self.view = view
+        self._view = weakref.ref(view)
         self.partition = view.partition
         self.ennz = np.array([blk.external.nnz for blk in view.blocks], dtype=np.int64)
         self._ext_rows: Optional[List[np.ndarray]] = None
-        self._scatter_base: Optional[List[np.ndarray]] = None
         self._local_c: Optional[List[CSRMatrix]] = None
-        self._warmed_reference = False
+        self._reference_table: Optional[BlockTable] = None
+        self._ras_table: Optional[BlockTable] = None
         self._warmed_fused = False
-        self._warmed_ras = False
-        self._ras_ennz: Optional[np.ndarray] = None
         self._stencil = None
         self._stencil_kernels = None
+
+    @property
+    def view(self) -> BlockRowView:
+        return self._view()
 
     # ------------------------------------------------------------------ #
     # reference-loop structures
@@ -107,21 +153,10 @@ class SweepPlan:
 
     @property
     def ext_rows(self) -> List[np.ndarray]:
-        """Per-block scatter segment ids: local row of every external entry."""
+        """Per-block local row of every external entry (batched race scatter)."""
         if self._ext_rows is None:
             self._ext_rows = [blk.external._expanded_rows() for blk in self.view.blocks]
         return self._ext_rows
-
-    @property
-    def scatter_base(self) -> List[np.ndarray]:
-        """Per-block base ids (``arange(block_rows)``), shared across equal sizes."""
-        if self._scatter_base is None:
-            by_size = {}
-            self._scatter_base = [
-                by_size.setdefault(blk.nrows, np.arange(blk.nrows, dtype=np.int64))
-                for blk in self.view.blocks
-            ]
-        return self._scatter_base
 
     @property
     def local_c(self) -> List[CSRMatrix]:
@@ -130,14 +165,19 @@ class SweepPlan:
             self._local_c = [blk.local_off_compressed() for blk in self.view.blocks]
         return self._local_c
 
-    def warm_reference(self) -> "SweepPlan":
-        """Materialise and warm everything the per-block reference loop uses."""
-        if not self._warmed_reference:
-            self.local_c
-            self.ext_rows
-            self.scatter_base
-            self._warmed_reference = True
-        return self
+    @property
+    def reference_table(self) -> "BlockTable":
+        """The disjoint blocks' :class:`BlockTable` (the reference loop's)."""
+        if self._reference_table is None:
+            blocks = self.view.blocks
+            self._reference_table = BlockTable(
+                [(blk.start, blk.stop, blk.start, blk.stop) for blk in blocks],
+                [blk.external for blk in blocks],
+                self.local_c,
+                [blk.diag for blk in blocks],
+                self.view.external_matrix(),
+            )
+        return self._reference_table
 
     # ------------------------------------------------------------------ #
     # fused whole-system structures
@@ -170,27 +210,25 @@ class SweepPlan:
     # ------------------------------------------------------------------ #
 
     @property
-    def ras_ennz(self) -> np.ndarray:
-        """Per-extended-block external nonzero counts (RAS freshness-draw sizes)."""
-        if self._ras_ennz is None:
-            self._ras_ennz = np.array(
-                [blk.external.nnz for blk in self.view.ras_blocks()], dtype=np.int64
-            )
-        return self._ras_ennz
+    def ras_table(self) -> "BlockTable":
+        """The extended blocks' :class:`BlockTable` (the async-RAS loop's).
 
-    def warm_ras(self) -> "SweepPlan":
-        """Materialise and warm the extended-block (RAS) kernel structures.
-
-        Builds the view's :meth:`~repro.sparse.BlockRowView.ras_blocks`
-        and their freshness-draw sizes so an async-RAS engine's first
-        timed sweep does no compilation — the same contract
-        :meth:`warm_reference` gives the disjoint loop.  Never called at ``overlap=0``; the
+        Builds the view's :meth:`~repro.sparse.BlockRowView.ras_blocks` and
+        restacks their external parts, so an async-RAS engine's first timed
+        sweep does no compilation.  Never built at ``overlap=0``; the
         classic structures stay the only ones built then.
         """
-        if not self._warmed_ras:
-            self.ras_ennz
-            self._warmed_ras = True
-        return self
+        if self._ras_table is None:
+            blocks = self.view.ras_blocks()
+            externals = [blk.external for blk in blocks]
+            self._ras_table = BlockTable(
+                [(blk.elo, blk.ehi, blk.start, blk.stop) for blk in blocks],
+                externals,
+                [blk.local_off for blk in blocks],
+                [blk.diag for blk in blocks],
+                CSRMatrix.restack(externals, self.view.n),
+            )
+        return self._ras_table
 
     # ------------------------------------------------------------------ #
     # matrix-free stencil structures

@@ -24,20 +24,23 @@ boundary values at every inner sweep — and then restricts the fold-back:
 :class:`RASSweepExecutor` and :class:`repro.core.BatchedAsyncEngine`'s
 per-replica loop both call it, so replica *r* of a batched RAS run is
 bitwise the sequential run for seed ``seed0 + r`` *by construction*, not
-by parallel re-implementation.  None of this code runs at ``overlap=0``
-— the engines dispatch here only for ``schwarz != "none"`` with a
-positive ``+oK`` partition suffix, which is what keeps the zero-overlap
-configuration bitwise the historical engines.
+by parallel re-implementation.  The ``"ras"`` sweep is the disjoint
+reference loop itself (:class:`repro.perf.backends.BlockLoop`) run over
+the extended blocks, with one product of the restacked extended externals
+per sweep.  None of this code runs at ``overlap=0`` — the engines
+dispatch here only for ``schwarz != "none"`` with a positive ``+oK``
+partition suffix, which is what keeps the zero-overlap configuration
+bitwise the historical engines.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..sparse.csr import scatter_add_fold
-from .plan import compile_sweep_plan, rhs_preserves_fold
+from .backends import BlockLoop
+from .plan import compile_sweep_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import AsyncEngine
@@ -50,13 +53,13 @@ __all__ = ["RASWorkspace", "RASSweepExecutor"]
 class RASWorkspace:
     """Compiled extended-block sweep kernel shared by both engines.
 
-    Construction warms the plan's RAS structures
-    (:meth:`repro.perf.SweepPlan.warm_ras`) so the first timed sweep does
-    no compilation.  The workspace is stateless across sweeps: schedule
-    state (generator, scheduler, sweep index, update counts) is passed in
-    per call, which is what lets R batched replicas share one workspace
-    while each consumes its own stream exactly as a sequential engine
-    would.
+    Construction builds the plan's extended-block table
+    (:attr:`repro.perf.SweepPlan.ras_table`) so the first timed sweep
+    does no compilation.  The workspace keeps no state across sweeps:
+    schedule state (generator, scheduler, sweep index, update counts) is
+    passed in per call, which is what lets R batched replicas share one
+    workspace while each consumes its own stream exactly as a sequential
+    engine would.
     """
 
     def __init__(self, view: "BlockRowView", config: "AsyncConfig"):
@@ -66,23 +69,11 @@ class RASWorkspace:
             raise ValueError("RASWorkspace needs a partition with overlap >= 1 (spec '+oK')")
         self.view = view
         self.config = config
-        self.plan = compile_sweep_plan(view).warm_ras()
-        self.blocks = view.ras_blocks()
-        self.ennz = self.plan.ras_ennz
+        self.loop = BlockLoop(compile_sweep_plan(view).ras_table)
         self.weighted = config.schwarz == "wras"
         self.weights = (
             view.partition.restriction_weights("wras") if self.weighted else None
         )
-        # Scatter segment ids of the extended externals (the np.add.at
-        # replacement), plus shared base-id aranges by extended size.
-        self._ext_rows: List[np.ndarray] = [
-            blk.external._expanded_rows() for blk in self.blocks
-        ]
-        by_size = {}
-        self._scatter_base: List[np.ndarray] = [
-            by_size.setdefault(blk.nrows, np.arange(blk.nrows, dtype=np.int64))
-            for blk in self.blocks
-        ]
 
     def sweep(
         self,
@@ -92,77 +83,19 @@ class RASWorkspace:
         scheduler: "WaveScheduler",
         sweep_index: int,
         update_counts: np.ndarray,
-        *,
-        fold_safe: bool = True,
     ) -> np.ndarray:
         """One global async-RAS sweep of *x* in place.
 
         *update_counts* is the caller's per-block counter (a row of the
-        batched engine's matrix, or the sequential engine's vector);
-        *fold_safe* is :func:`repro.perf.rhs_preserves_fold` of *b*,
-        computed once by the caller.
+        batched engine's matrix, or the sequential engine's vector).
         """
-        if self.weighted:
-            return self._sweep_wras(x, b, rng, scheduler, sweep_index, update_counts)
-        cfg = self.config
         order, gamma = scheduler.plan_for_sweep(sweep_index, rng)
-        snapshot = x if np.all(gamma >= 1.0) else x.copy()
-        draw_defer = cfg.deferred_write_prob > 0.0
-        deferred: List[Tuple[slice, np.ndarray]] = []
-
-        for pos, bid in enumerate(order):
-            blk = self.blocks[bid]
-            g = gamma[pos]
-            if g <= 0.0:
-                ext = blk.external.matvec(snapshot)
-                read = snapshot
-            elif g >= 1.0:
-                ext = blk.external.matvec(x)
-                read = x
-            else:
-                # Per-entry races over the *extended* external entries —
-                # the same stochastic shift function as the disjoint loop,
-                # with the halo's captured couplings no longer among them.
-                ext = blk.external.matvec(snapshot)
-                e = blk.external
-                fresh = rng.random(self.ennz[bid]) < g
-                if fresh.any():
-                    cols = e.indices[fresh]
-                    delta = e.data[fresh] * (x[cols] - snapshot[cols])
-                    if fold_safe:
-                        ext = scatter_add_fold(
-                            ext, self._ext_rows[bid][fresh], delta,
-                            base_ids=self._scatter_base[bid],
-                        )
-                    else:
-                        np.add.at(ext, self._ext_rows[bid][fresh], delta)
-                read = snapshot
-            s = b[blk.elo : blk.ehi] - ext
-            z = read[blk.elo : blk.ehi]
-            for _ in range(cfg.local_iterations):
-                new = (s - blk.local_off.matvec(z)) / blk.diag
-                if cfg.omega != 1.0:
-                    new = (1.0 - cfg.omega) * z + cfg.omega * new
-                z = new
-            owned = z[blk.owned]
-            if draw_defer and rng.random() < cfg.deferred_write_prob:
-                deferred.append((slice(blk.start, blk.stop), owned))
-            else:
-                x[blk.start : blk.stop] = owned
-            update_counts[bid] += 1
-
-        for rows, vals in deferred:
-            x[rows] = vals
-        return x
+        if self.weighted:
+            return self._sweep_wras(x, b, order, update_counts)
+        return self.loop.sweep(x, b, rng, order, gamma, update_counts, self.config)
 
     def _sweep_wras(
-        self,
-        x: np.ndarray,
-        b: np.ndarray,
-        rng: np.random.Generator,
-        scheduler: "WaveScheduler",
-        sweep_index: int,
-        update_counts: np.ndarray,
+        self, x: np.ndarray, b: np.ndarray, order: np.ndarray, update_counts: np.ndarray
     ) -> np.ndarray:
         """Weighted-RAS sweep: partition-of-unity fold at the sweep end.
 
@@ -171,20 +104,15 @@ class RASWorkspace:
         to defer — the order draw is the only randomness consumed.
         """
         cfg = self.config
-        order, _ = scheduler.plan_for_sweep(sweep_index, rng)
+        loop = self.loop
+        ext_all = loop.external_product(x)
         acc = np.zeros_like(x)
-        for bid in order:
-            blk = self.blocks[bid]
-            ext = blk.external.matvec(x)
-            s = b[blk.elo : blk.ehi] - ext
-            z = x[blk.elo : blk.ehi]
-            for _ in range(cfg.local_iterations):
-                new = (s - blk.local_off.matvec(z)) / blk.diag
-                if cfg.omega != 1.0:
-                    new = (1.0 - cfg.omega) * z + cfg.omega * new
-                z = new
-            acc[blk.elo : blk.ehi] += self.weights[bid] * z
-            update_counts[bid] += 1
+        for bid in order.tolist():
+            lo, hi, off, *_, local = loop.table.entries[bid]
+            s = b[lo:hi] - ext_all[off : off + hi - lo]
+            z = loop.local_sweeps(local, s, x[lo:hi], cfg.local_iterations, cfg.omega)
+            acc[lo:hi] += self.weights[bid] * z
+        np.add.at(update_counts, order, 1)
         x[:] = acc
         return x
 
@@ -200,20 +128,11 @@ class RASSweepExecutor:
     name = "ras"
 
     def __init__(self, engine: "AsyncEngine"):
-        self.engine = engine
         self.workspace = RASWorkspace(engine.view, engine.config)
-        self._fold_safe = rhs_preserves_fold(engine.b)
 
-    def sweep(self, x: np.ndarray) -> np.ndarray:
-        eng = self.engine
+    def sweep(self, eng: "AsyncEngine", x: np.ndarray) -> np.ndarray:
         self.workspace.sweep(
-            x,
-            eng.b,
-            eng.rng,
-            eng.scheduler,
-            eng.sweep_index,
-            eng.update_counts,
-            fold_safe=self._fold_safe,
+            x, eng.b, eng.rng, eng.scheduler, eng.sweep_index, eng.update_counts
         )
         eng.sweep_index += 1
         return x

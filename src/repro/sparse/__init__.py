@@ -13,7 +13,7 @@ third-party type.  The one SpMV kernel, though, is scipy's compiled
 """
 
 from .coo import COOMatrix
-from .csr import CSRMatrix, scatter_add_fold
+from .csr import CSRMatrix
 from .ell import ELLMatrix, SlicedELLMatrix
 from .blocked import BlockRowView, RASBlock, RowBlock
 from .linalg import (
@@ -27,7 +27,6 @@ from .linalg import (
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "scatter_add_fold",
     "ELLMatrix",
     "SlicedELLMatrix",
     "BlockRowView",

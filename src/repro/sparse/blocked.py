@@ -235,19 +235,9 @@ class BlockRowView:
         are exactly its owning block's local row — same entries, same
         order.  A single multi-vector ``matvec`` against the stack is
         therefore bitwise identical to the per-block matvecs of a sweep.
+        The parts become views of the stack, so it costs no second copy.
         """
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        nnz = 0
-        for blk, part in zip(self.blocks, parts):
-            indptr[blk.start + 1 : blk.stop + 1] = nnz + part.indptr[1:]
-            nnz += part.nnz
-        return CSRMatrix(
-            indptr,
-            np.concatenate([p.indices for p in parts]) if parts else np.zeros(0, np.int64),
-            np.concatenate([p.data for p in parts]) if parts else np.zeros(0),
-            (self.n, self.n),
-            check=False,
-        )
+        return CSRMatrix.restack(parts, self.n)
 
     def external_matrix(self) -> CSRMatrix:
         """All blocks' external parts restacked into one (n, n) CSR (cached).

@@ -19,44 +19,7 @@ from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .._util import as_float_array, as_index_array
 
-__all__ = ["CSRMatrix", "scatter_add_fold"]
-
-
-def scatter_add_fold(
-    base: np.ndarray,
-    ids: np.ndarray,
-    weights: np.ndarray,
-    *,
-    base_ids: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``np.add.at(base, ids, weights)`` as one :func:`np.bincount` segment sum.
-
-    ``ufunc.at`` pays its generic-dispatch machinery per call and never
-    vectorises; ``bincount`` is a single C loop.  Both accumulate strictly
-    in listed order, so seeding every bin with its base value makes the
-    per-accumulator fold ``0.0 + base[r] + w_1 + w_2 + ...`` — bitwise the
-    in-place fold ``base[r] + w_1 + w_2 + ...`` for every base value
-    except a ``-0.0``, whose seed addition flips it to ``+0.0``.  (The two
-    zeros subtract identically from any non-negative-zero value, so the
-    flip cannot reach an iterate through ``s = b - ext`` unless *b* itself
-    carries ``-0.0`` entries; callers that must preserve even that case
-    guard on it — see :func:`repro.perf.rhs_preserves_fold`.)
-
-    *base* may be any shape; *ids* index its flattened form.  *base_ids*,
-    when given, must be ``arange(base.size)`` — pass a precomputed one to
-    keep hot paths allocation-light.  Returns a new array of *base*'s
-    shape; *base* is not modified.
-    """
-    flat = base.ravel()
-    n = flat.shape[0]
-    if base_ids is None:
-        base_ids = np.arange(n, dtype=np.int64)
-    out = np.bincount(
-        np.concatenate([base_ids, ids]),
-        weights=np.concatenate([flat, weights]),
-        minlength=n,
-    )
-    return out.reshape(base.shape)
+__all__ = ["CSRMatrix"]
 
 
 class CSRMatrix:
@@ -137,6 +100,29 @@ class CSRMatrix:
             m.shape,
             check=False,
         )
+
+    @classmethod
+    def restack(cls, parts, ncols: int) -> "CSRMatrix":
+        """Row blocks stacked top to bottom into one matrix that owns their entries.
+
+        Each row keeps its entries in order.  Every part's ``indices`` and
+        ``data`` are rebound to views of the stacked arrays (the same
+        values), so the stack and its parts hold one copy of the entries.
+        """
+        counts = np.concatenate([[0]] + [np.diff(p.indptr) for p in parts])
+        out = cls(
+            np.cumsum(counts, dtype=np.int64),
+            np.concatenate([np.zeros(0, np.int64)] + [p.indices for p in parts]),
+            np.concatenate([np.zeros(0)] + [p.data for p in parts]),
+            (len(counts) - 1, ncols),
+            check=False,
+        )
+        lo = 0
+        for p in parts:
+            hi = lo + p.nnz
+            p.indices, p.data = out.indices[lo:hi], out.data[lo:hi]
+            lo = hi
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "CSRMatrix":

@@ -181,7 +181,7 @@ def test_negative_zero_rhs_disables_mixed_gamma_fusion(trefethen_small):
 def _plan_structures(plan, backend):
     """The structures *backend* consumes, as the plan currently holds them."""
     if backend == "reference":
-        return (plan.local_c, plan.ext_rows, plan.scatter_base)
+        return (plan.local_c, plan.reference_table, plan.reference_table.entries)
     return (plan.external, plan.local_off, plan.diag)
 
 
